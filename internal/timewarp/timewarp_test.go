@@ -62,16 +62,23 @@ func TestParallelMatchesSequential(t *testing.T) {
 	t.Logf("events=%d rollbacks=%d stragglers=%d", got.Events, got.Rollbacks, got.Stragglers)
 }
 
+// TestParallelMatchesSequentialManySeeds runs each seed at the default
+// shard count and at 1 and 8 shards: one shard settles every operation
+// under the all-shard lock, eight let cross-LP settles escape their
+// home shards and escalate, so both settle paths meet real denies
+// against the Sequential oracle.
 func TestParallelMatchesSequentialManySeeds(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		cfg := Config{LPs: 3, Population: 5, Horizon: 120, MaxDelta: 7, Seed: seed}
-		want := Sequential(cfg)
-		got, err := Parallel(cfg, engine.WithOutput(io.Discard))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got.Committed, want.Committed) {
-			t.Fatalf("seed %d: committed multisets diverge", seed)
+	for _, shards := range []int{0, 1, 8} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			cfg := Config{LPs: 3, Population: 5, Horizon: 120, MaxDelta: 7, Seed: seed}
+			want := Sequential(cfg)
+			got, err := Parallel(cfg, engine.WithOutput(io.Discard), engine.WithShards(shards))
+			if err != nil {
+				t.Fatalf("shards %d, seed %d: %v", shards, seed, err)
+			}
+			if !reflect.DeepEqual(got.Committed, want.Committed) {
+				t.Fatalf("shards %d, seed %d: committed multisets diverge", shards, seed)
+			}
 		}
 	}
 }

@@ -159,3 +159,75 @@ func BenchmarkContendedMixedReadWrite(b *testing.B) {
 		}
 	})
 }
+
+// buildExchange builds the timewarp shape BenchmarkAffirmSettle settles:
+// procs processes take turns guessing a fresh assumption and passing
+// their tag set to the next process in a ring, which delivers it, so
+// IDO and DOM sets cross processes (and shards). It returns each
+// process's own assumptions in guess order.
+func buildExchange(tb testing.TB, tr *Tracker, procs, steps int) ([]ids.Proc, [][]ids.AID) {
+	tb.Helper()
+	ps := make([]ids.Proc, procs)
+	for i := range ps {
+		ps[i] = tr.Register(noopHooks{})
+	}
+	chains := make([][]ids.AID, procs)
+	log := 0
+	for s := 0; s < steps; s++ {
+		for i, p := range ps {
+			x := tr.NewAID()
+			log++
+			if _, err := tr.Guess(p, x, log); err != nil {
+				tb.Fatalf("guess: %v", err)
+			}
+			chains[i] = append(chains[i], x)
+			tags, err := tr.Tag(p)
+			if err != nil {
+				tb.Fatalf("tag: %v", err)
+			}
+			log++
+			if _, err := tr.Deliver(ps[(i+1)%procs], tags, log); err != nil {
+				tb.Fatalf("deliver: %v", err)
+			}
+		}
+	}
+	return ps, chains
+}
+
+// BenchmarkAffirmSettle measures the settle rung of the timewarp
+// workload: after a tagged exchange, every process self-affirms its
+// chain in guess order, as timewarp's commitAll does. Each affirm is
+// speculative until the affirming process's chain collapses, so it
+// copies the affirmer's IDO into every dependent in other processes.
+// One op is the whole affirm phase of one fresh exchange; the exchange
+// itself is built with the timer stopped. The ring crosses shards at
+// WithShards(2), and every settle takes the all-shard lock at
+// WithShards(1).
+func BenchmarkAffirmSettle(b *testing.B) {
+	const procs, steps = 4, 16
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := New(WithShards(shards))
+				ps, chains := buildExchange(b, tr, procs, steps)
+				b.StartTimer()
+				for j, p := range ps {
+					for _, x := range chains[j] {
+						if err := tr.Affirm(p, x); err != nil {
+							b.Fatalf("affirm: %v", err)
+						}
+					}
+				}
+				b.StopTimer()
+				for _, p := range ps {
+					if n := tr.LiveIntervals(p); n != 0 {
+						b.Fatalf("%v has %d live intervals after affirming every chain", p, n)
+					}
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

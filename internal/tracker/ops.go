@@ -75,11 +75,8 @@ func (t *Tracker) Guess(p ids.Proc, x ids.AID, logIndex int) (GuessOutcome, erro
 		// inside locked — the walk found them there) and of every
 		// assumption inherited from the enclosing interval; those
 		// inherited homes must be locked too.
-		if cur := ps.current(); cur != nil {
-			ok := cur.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
-			if !ok {
-				return errEscape
-			}
+		if !t.idoInside(ps.current(), locked) {
+			return errEscape
 		}
 		iv := t.openIntervalLocked(ps, logIndex, false, deps)
 		sh.stats.Guesses++
@@ -140,11 +137,8 @@ func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutc
 		if len(deps) == 0 {
 			return nil
 		}
-		if cur := ps.current(); cur != nil {
-			ok := cur.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
-			if !ok {
-				return errEscape
-			}
+		if !t.idoInside(ps.current(), locked) {
+			return errEscape
 		}
 		iv := t.openIntervalLocked(ps, logIndex, true, deps)
 		t.procShard(p).stats.ImplicitGuesses++
@@ -234,15 +228,14 @@ func (t *Tracker) affirmLocked(ps *procState, x ids.AID, ctx *opCtx) error {
 		cur.specAffirmed.Add(x)
 		st.stats.SpecAffirms++
 		t.obs.Emit(obs.KSpecAffirmed, ps.id, x, cur.id, 0)
-		idoSnap := cur.ido.Clone()
+		// repl is cur.IDO \ {X} in cur.IDO's insertion order; copy it
+		// once, not once per dependent.
+		ys := repl.Elems()
 		for _, b := range a.dom.Elems() {
 			if b.status != speculative {
 				continue
 			}
-			for _, y := range idoSnap.Elems() {
-				if y == x {
-					continue
-				}
+			for _, y := range ys {
 				if b.ido.Add(y) {
 					t.aid(y).dom.Add(b)
 				}

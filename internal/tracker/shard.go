@@ -213,6 +213,11 @@ func (t *Tracker) commitCtx(ctx *opCtx, locked uint64) {
 // reaches state homed outside the locked shard set. Nothing is mutated:
 // on escape the operation unlocks, escalates, and re-runs.
 //
+// The walk is a pure escape check, so it runs only under a partial lock
+// set. Under the all-shard lock in() is identically true and no walk
+// can fail: such a footprint admits everything without visiting
+// anything, and commitCtx's dirty-set check stays the runtime guard.
+//
 // Two visit strengths keep the closure tight: touch means the mutation
 // may write the assumption's bookkeeping (DOM membership, claim flags,
 // a terminal status flip) but never follows its edges; resolve means
@@ -221,12 +226,13 @@ func (t *Tracker) commitCtx(ctx *opCtx, locked uint64) {
 type footprint struct {
 	t      *Tracker
 	locked uint64
+	all    bool              // locked is the all-shard set: admit without walking
 	aids   map[ids.AID]uint8 // 1 = touched, 2 = resolved
 	procs  map[ids.Proc]bool
 }
 
 func (t *Tracker) newFootprint(locked uint64) *footprint {
-	return &footprint{t: t, locked: locked}
+	return &footprint{t: t, locked: locked, all: locked == t.allMask}
 }
 
 func (f *footprint) in(idx uint64) bool { return f.locked&bit(idx) != 0 }
@@ -249,7 +255,7 @@ func (f *footprint) touchAID(x ids.AID) bool {
 // resolveAID admits a definitive deny (or affirm) of x, including the
 // rollback cascade through its DOM.
 func (f *footprint) resolveAID(x ids.AID) bool {
-	if f.aids[x] == 2 {
+	if f.all || f.aids[x] == 2 {
 		return true
 	}
 	idx := f.t.aidIdx(x)
@@ -278,7 +284,7 @@ func (f *footprint) resolveAID(x ids.AID) bool {
 // spec-affirmed members may have bookkeeping written; IHD members may
 // be definitively denied at finalize, cascading.
 func (f *footprint) visitProc(p ids.Proc) bool {
-	if f.procs[p] {
+	if f.all || f.procs[p] {
 		return true
 	}
 	idx := f.t.procIdx(p)
@@ -302,6 +308,17 @@ func (f *footprint) visitProc(p ids.Proc) bool {
 		}
 	}
 	return true
+}
+
+// idoInside reports whether every assumption iv depends on is homed in
+// locked — the escape check for a new interval inheriting iv's IDO
+// (Equation 3). Like the footprint walk, it runs only under a partial
+// lock set.
+func (t *Tracker) idoInside(iv *intervalState, locked uint64) bool {
+	if iv == nil || locked == t.allMask {
+		return true
+	}
+	return iv.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
 }
 
 // ShardStat is a point-in-time summary of one shard, for the E11

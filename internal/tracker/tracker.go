@@ -784,7 +784,9 @@ func (w *depWalk) visit(x ids.AID) bool {
 // resolveDepsMasked expands tags into their unresolved transitive
 // dependencies, reporting orphan when a denied assumption is reached and
 // escape when the walk leaves the locked shard set. The returned slice
-// is freshly built and deduplicated.
+// is freshly built and deduplicated. Under the all-shard lock the walk
+// still runs, because it collects deps and finds orphans, but it cannot
+// escape.
 func (t *Tracker) resolveDepsMasked(tags []ids.AID, locked uint64) (deps []ids.AID, orphan, escaped bool) {
 	w := depWalk{t: t, locked: locked, collect: true}
 	for _, x := range tags {

@@ -451,6 +451,66 @@ func TestSelfAffirmCollapses(t *testing.T) {
 	}
 }
 
+// TestSpecAffirmAllocsIndependentOfDependents guards the speculative
+// affirm (Equations 10–14) against per-dependent copying: the
+// affirmer's replacement set is copied once, however many intervals
+// depend on the affirmed assumption. One shard puts the settle under the
+// all-shard lock, where no footprint walk runs, so the affirm's own
+// allocations are all that is counted.
+func TestSpecAffirmAllocsIndependentOfDependents(t *testing.T) {
+	type fixture struct {
+		tr *Tracker
+		p  ids.Proc
+		x  ids.AID
+	}
+	// build: p guesses x0 then x; deps receivers each guess their own
+	// assumption and then deliver p's tags, so x.DOM holds p's current
+	// interval and deps intervals that stay speculative after x leaves
+	// their IDO.
+	build := func(deps int) fixture {
+		tr := New(WithShards(1))
+		p := tr.Register(noopHooks{})
+		x0, x := tr.NewAID(), tr.NewAID()
+		mustGuess(t, tr, p, x0, 0)
+		mustGuess(t, tr, p, x, 1)
+		tags, err := tr.Tag(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < deps; i++ {
+			q := tr.Register(noopHooks{})
+			mustGuess(t, tr, q, tr.NewAID(), 0)
+			if _, err := tr.Deliver(q, tags, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fixture{tr, p, x}
+	}
+	allocs := func(deps int) float64 {
+		const runs = 20
+		fx := make([]fixture, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range fx {
+			fx[i] = build(deps)
+		}
+		next := 0
+		n := testing.AllocsPerRun(runs, func() {
+			f := fx[next]
+			next++
+			if err := f.tr.Affirm(f.p, f.x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := fx[0].tr.Status(fx[0].x); got != SpecAffirmed {
+			t.Fatalf("deps=%d: X = %v, want spec-affirmed", deps, got)
+		}
+		return n
+	}
+	small, large := allocs(4), allocs(64)
+	if large > small {
+		t.Fatalf("speculative affirm allocations grow with |X.DOM|: %v at 4 dependents, %v at 64", small, large)
+	}
+}
+
 func TestEffectOrderingAtFinalize(t *testing.T) {
 	tr, ps, _ := setup(t, 2)
 	x := tr.NewAID()

@@ -133,13 +133,10 @@ func TestCheckpointTruncatedWithLog(t *testing.T) {
 			sawRestore.Store(true)
 		}
 		x := p.NewAID()
-		select {
-		case aidCh <- x:
-		default:
-		}
 		if p.Guess(x) {
 			p.Checkpoint("inside the doomed speculation")
 			p.Printf("opt\n")
+			aidCh <- x         // deny only once the checkpoint is recorded
 			_, err := p.Recv() // parks until the deny unwinds it
 			if errors.Is(err, ErrShutdown) {
 				return nil

@@ -139,22 +139,20 @@ func TestOutcomeStableAcrossReplay(t *testing.T) {
 	var runIdx atomic.Int32
 
 	spawn(t, rt, "worker", func(p *Proc) error {
-		x := p.NewAID() // resolved later by resolver
+		x := p.NewAID()                    // resolved later by resolver
+		resolved, affirmed := p.Outcome(x) // read while unresolved
 		select {
 		case xCh <- x:
 		default:
 		}
-		resolved, affirmed := p.Outcome(x) // read while unresolved
 		i := runIdx.Add(1) - 1
 		if int(i) < len(reads) {
 			reads[i] = [2]bool{resolved, affirmed}
 		}
 		y := p.NewAID()
-		select {
-		case yCh <- y:
-		default:
+		if p.Guess(y) { // denied → replay the Outcome entry above
+			yCh <- y
 		}
-		p.Guess(y) // denied → replay the Outcome entry above
 		return nil
 	})
 	spawn(t, rt, "resolver", func(p *Proc) error {

@@ -152,6 +152,10 @@ type Runtime struct {
 	byID     map[ids.Proc]*Proc
 	inflight int
 	closed   bool
+	// started is set by Start (and by Wait, Quiesce and Shutdown, which
+	// imply it). Until then a send to a name with no process waits for
+	// the name to be spawned; see route.
+	started bool
 	// settledWaiters are the processes currently blocked in RecvSettled.
 	// The resolution watcher wakes exactly these instead of locking every
 	// process on every resolution (guarded by mu).
@@ -342,6 +346,11 @@ func (r *Runtime) Observer() *obs.Observer { return r.obs }
 
 // Spawn starts a named process executing body in its own goroutine. The
 // body must follow the package's piecewise-determinism contract.
+//
+// Processes spawned before Start may address each other in any spawn
+// order: a send to a name not yet spawned waits until Start (or Wait,
+// Quiesce, Shutdown) rather than failing, so no body can race a sibling
+// about to exist.
 func (r *Runtime) Spawn(name string, body func(*Proc) error) error {
 	r.mu.Lock()
 	if r.closed {
@@ -358,10 +367,26 @@ func (r *Runtime) Spawn(name string, body func(*Proc) error) error {
 	r.obs.RegisterProc(p.id, name)
 	r.procs[name] = p
 	r.byID[p.id] = p
+	r.cond.Broadcast() // senders waiting for this name (see route)
 	r.mu.Unlock()
 
 	go p.loop()
 	return nil
+}
+
+// Start declares the process set complete: from now on a send to a name
+// with no local process fails with ErrUnknownDest (or goes to the remote
+// router). Wait, Quiesce, Shutdown and ShutdownDrain call it, so a
+// program that spawns its processes and then waits on the runtime never
+// calls it itself. Safe to call more than once; processes may still be
+// spawned after it.
+func (r *Runtime) Start() {
+	r.mu.Lock()
+	if !r.started {
+		r.started = true
+		r.cond.Broadcast()
+	}
+	r.mu.Unlock()
 }
 
 // procHooks adapts *Proc to tracker.Hooks without exporting the method on
@@ -395,16 +420,33 @@ func (r *Runtime) bump() {
 func (r *Runtime) route(from, to string, msg *rmsg) error {
 	r.mu.Lock()
 	dst, ok := r.procs[to]
+	// Before Start the process set is still being declared: wait for
+	// the name to appear. A remote router owns unknown names at once.
+	for !ok && !r.started && r.remote == nil {
+		r.cond.Wait()
+		dst, ok = r.procs[to]
+	}
 	if !ok {
 		remote := r.remote
 		r.mu.Unlock()
-		if remote != nil {
-			// Cross-process destination: hand off to the wire layer. Its
-			// ErrDelivery results (wire drops, lost peers) surface from
-			// Send like a local injected drop.
-			return remote(WireMsg{From: from, To: to, Seq: msg.seq, Tags: msg.tags, Payload: msg.payload})
+		if remote == nil {
+			return fmt.Errorf("%w: %q", ErrUnknownDest, to)
 		}
-		return fmt.Errorf("%w: %q", ErrUnknownDest, to)
+		// Cross-process destination: hand off to the wire layer. Its
+		// ErrDelivery results (wire drops, lost peers) surface from
+		// Send like a local injected drop.
+		err := remote(WireMsg{From: from, To: to, Seq: msg.seq, Tags: msg.tags, Payload: msg.payload})
+		if !errors.Is(err, ErrUnknownDest) {
+			return err
+		}
+		// The router may have held the send (the wire layer parks sends
+		// until its mesh is up, after its local spawns) while the name
+		// was spawned here: deliver locally if it now exists.
+		r.mu.Lock()
+		if dst, ok = r.procs[to]; !ok {
+			r.mu.Unlock()
+			return err
+		}
 	}
 	if r.latency == nil && r.faults == nil {
 		// Synchronous delivery in the sender's goroutine is trivially
@@ -480,6 +522,7 @@ func (r *Runtime) deliverNow(d *delivery) {
 // all of its speculation settled). It returns the processes' errors, if
 // any. Programs whose processes never halt should use Quiesce instead.
 func (r *Runtime) Wait() []error {
+	r.Start()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -509,6 +552,7 @@ func (r *Runtime) Wait() []error {
 // returns immediately-after-stability; processes may still be parked
 // speculative or blocked in Recv.
 func (r *Runtime) Quiesce() {
+	r.Start()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for !r.stableLocked() {
@@ -538,6 +582,7 @@ func (r *Runtime) stableLocked() bool {
 // Shutdown stops the runtime: blocked receives return ErrShutdown and
 // parked processes exit. Safe to call more than once.
 func (r *Runtime) Shutdown() {
+	r.Start()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -601,6 +646,7 @@ func (d DrainPolicy) String() string {
 // processes eventually block; a body that spins forever prevents the
 // drain from completing.
 func (r *Runtime) ShutdownDrain(policy DrainPolicy) {
+	r.Start()
 	switch policy {
 	case DrainWaitSettled:
 		r.mu.Lock()

@@ -522,7 +522,7 @@ func (p *Proc) park() {
 		if p.closed {
 			break
 		}
-		if p.rt.tr.Definite(p.id) {
+		if p.definite() {
 			break
 		}
 		p.cond.Wait()
@@ -963,13 +963,19 @@ func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
 			!(timed && !time.Now().Before(deadline)) {
 			p.cond.Wait()
 		}
-		p.waitPred = nil
-		p.waitDeadline = time.Time{}
 		p.mu.Unlock()
 		if timer != nil {
 			timer.Stop()
 		}
+		// Mark running before clearing the wait fields, as awaitVerdict
+		// does: on a deadline wake nothing is queued, so a blocked
+		// process with its deadline cleared would look stable and
+		// Quiesce could return just before it resumes.
 		p.toState(stateRunning)
+		p.mu.Lock()
+		p.waitPred = nil
+		p.waitDeadline = time.Time{}
+		p.mu.Unlock()
 	}
 }
 
@@ -1198,5 +1204,16 @@ func (p *Proc) compact() {
 // the process goroutine; the answer cannot be invalidated concurrently
 // because speculation enters only through this process's own calls.
 func (p *Proc) compactable() bool {
-	return !p.replaying() && !p.rt.tr.PendingRollback(p.id) && p.rt.tr.Definite(p.id)
+	return !p.replaying() && p.definite()
+}
+
+// definite reports whether the process has no live speculative interval
+// and no pending rollback. The order of the two reads matters: a deny
+// that discards the process's last interval sets its rollback target in
+// the same tracker critical section, and only the process itself takes
+// the target, so a pending check after a definite read cannot miss a
+// rollback that made the process definite. Checked the other way round,
+// a deny landing between the reads looks like a settled process.
+func (p *Proc) definite() bool {
+	return p.rt.tr.Definite(p.id) && !p.rt.tr.PendingRollback(p.id)
 }

@@ -30,6 +30,7 @@ package obs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hope/internal/ids"
@@ -238,8 +239,12 @@ func newRing(capacity int) *ring {
 	return &ring{buf: make([]Event, capacity)}
 }
 
-func (r *ring) append(e Event) {
+// append stamps e with the next sequence number from seq and stores it.
+// Both happen under the ring lock, so the ring holds events in sequence
+// order and a snapshot never sees a later event before an earlier one.
+func (r *ring) append(e Event, seq *atomic.Uint64) {
 	r.mu.Lock()
+	e.Seq = seq.Add(1)
 	r.buf[int(r.n%uint64(len(r.buf)))] = e
 	r.n++
 	r.mu.Unlock()

@@ -179,9 +179,8 @@ func (o *Observer) emit(e Event) {
 		o.m.PolicyWaitTimeouts.Add(1)
 	}
 	if o.ring != nil {
-		e.Seq = o.seq.Add(1)
 		e.T = time.Since(o.start)
-		o.ring.append(e)
+		o.ring.append(e, &o.seq)
 	}
 }
 

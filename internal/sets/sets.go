@@ -7,8 +7,17 @@
 // and IHD ("I Have Denied"). Model checking those equations requires that
 // iterating a set visits elements in a reproducible order, otherwise two
 // runs of the same schedule can diverge; a plain map[K]struct{} does not
-// give that. Set therefore keeps both a membership map and an insertion
-// log, compacting the log when removals accumulate.
+// give that. Set therefore keeps an insertion log and a map from each
+// member to its position in the log. Removal leaves a stale log entry
+// behind and re-adding appends a fresh one; iteration visits only the
+// entries whose position the map still records, so a re-added element is
+// visited once, in its last position. The log is compacted when stale
+// entries outnumber live ones, which keeps Add and Remove amortized O(1)
+// however they interleave.
+//
+// Bits is the companion for sets of small integer identifiers whose
+// order does not matter: a sparse bitset iterated in ascending order,
+// whose union and copy are word operations.
 package sets
 
 import (
@@ -20,9 +29,8 @@ import (
 // Set is a mutable set of comparable elements with deterministic,
 // insertion-ordered iteration. The zero value is an empty set ready to use.
 type Set[K comparable] struct {
-	members map[K]struct{}
-	order   []K // insertion order; may contain removed elements until compacted
-	removed int // count of removed elements still present in order
+	members map[K]int // member -> its position in order
+	order   []K       // insertion log; entries not recorded in members are stale
 }
 
 // New returns a set containing the given elements.
@@ -54,20 +62,21 @@ func (s *Set[K]) Has(e K) bool {
 	return ok
 }
 
+// live reports whether the log entry at position i is current.
+func (s *Set[K]) live(i int, e K) bool {
+	pos, ok := s.members[e]
+	return ok && pos == i
+}
+
 // Add inserts e, reporting whether it was newly added.
 func (s *Set[K]) Add(e K) bool {
 	if s.members == nil {
-		s.members = make(map[K]struct{})
+		s.members = make(map[K]int)
 	}
 	if _, ok := s.members[e]; ok {
 		return false
 	}
-	// A stale log entry for e would make iteration visit it twice once
-	// re-added; drop stale entries before appending.
-	if s.removed > 0 {
-		s.compact()
-	}
-	s.members[e] = struct{}{}
+	s.members[e] = len(s.order)
 	s.order = append(s.order, e)
 	return true
 }
@@ -89,10 +98,9 @@ func (s *Set[K]) Remove(e K) bool {
 		return false
 	}
 	delete(s.members, e)
-	s.removed++
-	// Compact lazily once removed elements dominate, keeping Add/Remove
+	// Compact lazily once stale entries dominate, keeping Add/Remove
 	// amortized O(1) while bounding memory.
-	if s.removed > len(s.members)+8 {
+	if len(s.order)-len(s.members) > len(s.members)+8 {
 		s.compact()
 	}
 	return true
@@ -113,18 +121,17 @@ func (s *Set[K]) Clear() {
 	}
 	s.members = nil
 	s.order = nil
-	s.removed = 0
 }
 
 func (s *Set[K]) compact() {
 	kept := s.order[:0]
-	for _, e := range s.order {
-		if _, ok := s.members[e]; ok {
+	for i, e := range s.order {
+		if s.live(i, e) {
+			s.members[e] = len(kept)
 			kept = append(kept, e)
 		}
 	}
 	s.order = kept
-	s.removed = 0
 }
 
 // each calls fn for every live element in insertion order. fn must not
@@ -133,8 +140,8 @@ func (s *Set[K]) each(fn func(K)) {
 	if s == nil {
 		return
 	}
-	for _, e := range s.order {
-		if _, ok := s.members[e]; ok {
+	for i, e := range s.order {
+		if s.live(i, e) {
 			fn(e)
 		}
 	}
@@ -148,8 +155,8 @@ func (s *Set[K]) Range(fn func(K) bool) bool {
 	if s == nil {
 		return true
 	}
-	for _, e := range s.order {
-		if _, ok := s.members[e]; ok {
+	for i, e := range s.order {
+		if s.live(i, e) {
 			if !fn(e) {
 				return false
 			}

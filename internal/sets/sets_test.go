@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,28 @@ func TestReAddAfterRemoveMovesToEnd(t *testing.T) {
 	want := []int{2, 3, 1}
 	if got := s.Elems(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Elems = %v, want %v", got, want)
+	}
+}
+
+// TestChurnKeepsInsertionOrder interleaves removes and re-adds against
+// an ordered reference list: a re-added element is visited once, in its
+// last position, whether or not the log has been compacted since.
+func TestChurnKeepsInsertionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := New[int]()
+	var ref []int
+	for step := 0; step < 5000; step++ {
+		v := rng.Intn(40)
+		if rng.Intn(2) == 0 {
+			if s.Add(v) {
+				ref = append(ref, v)
+			}
+		} else if s.Remove(v) {
+			ref = slices.DeleteFunc(ref, func(e int) bool { return e == v })
+		}
+		if got := s.Elems(); !slices.Equal(got, ref) {
+			t.Fatalf("step %d: Elems = %v, want %v", step, got, ref)
+		}
 	}
 }
 
@@ -288,6 +311,20 @@ func BenchmarkAddHas(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Add(i % 1024)
 		s.Has(i % 1024)
+	}
+}
+
+// BenchmarkChurn alternates Remove and Add on a 100-element set, the
+// access pattern of a DOM set whose intervals settle while new ones open.
+func BenchmarkChurn(b *testing.B) {
+	s := New[int]()
+	for i := 0; i < 100; i++ {
+		s.Add(i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Remove(i)
+		s.Add(i + 100)
 	}
 }
 

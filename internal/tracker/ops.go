@@ -222,24 +222,16 @@ func (t *Tracker) affirmLocked(ps *procState, x ids.AID, ctx *opCtx) error {
 		a.claimed = true
 		t.setStatus(a, SpecAffirmed, ctx)
 		a.affirmer = cur.id
-		repl := cur.ido.Clone()
-		repl.Remove(x)
-		a.replacement = repl
+		a.replacement = cur.ido.Clone()
+		a.replacement.Remove(x)
 		cur.specAffirmed.Add(x)
 		st.stats.SpecAffirms++
 		t.obs.Emit(obs.KSpecAffirmed, ps.id, x, cur.id, 0)
-		// repl is cur.IDO \ {X} in cur.IDO's insertion order; copy it
-		// once, not once per dependent.
-		ys := repl.Elems()
 		for _, b := range a.dom.Elems() {
 			if b.status != speculative {
 				continue
 			}
-			for _, y := range ys {
-				if b.ido.Add(y) {
-					t.aid(y).dom.Add(b)
-				}
-			}
+			b.ido.UnionWith(&a.replacement, func(y ids.AID) { t.aid(y).dom.Add(b) })
 			b.ido.Remove(x)
 			a.dom.Remove(b)
 			if b.ido.Empty() {
@@ -463,9 +455,10 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 		if n := len(b.aborts); n > 0 {
 			t.obs.Emit(obs.KEffectAborted, b.proc, ids.NoAID, b.id, int64(n))
 		}
-		for _, x := range b.ido.Elems() {
+		b.ido.Range(func(x ids.AID) bool {
 			t.aid(x).dom.Remove(b)
-		}
+			return true
+		})
 		for _, x := range b.specAffirmed.Elems() {
 			ax := t.aid(x)
 			if ax.status == SpecAffirmed && ax.affirmer == b.id {

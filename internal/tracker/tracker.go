@@ -173,7 +173,7 @@ type aidState struct {
 	dom          *sets.Set[*intervalState]
 	status       Resolution
 	affirmer     ids.Interval
-	replacement  *sets.Set[ids.AID]
+	replacement  sets.Bits[ids.AID]
 	claimed      bool
 	claimedBy    ids.Interval
 	systemDenied bool
@@ -187,8 +187,10 @@ type intervalState struct {
 	// openedAt is the wall-clock birth of the interval, stamped only
 	// when an observer is attached (it feeds the speculation-lifetime
 	// histogram at settlement).
-	openedAt     time.Time
-	ido          *sets.Set[ids.AID]
+	openedAt time.Time
+	// ido is a bitset: its order feeds no DOM or cascade order, and
+	// Equations 3 and 12 copy and union it a word at a time.
+	ido          sets.Bits[ids.AID]
 	ihd          *sets.Set[ids.AID]
 	specAffirmed *sets.Set[ids.AID]
 	status       status
@@ -425,9 +427,10 @@ func (t *Tracker) Definite(p ids.Proc) bool {
 }
 
 // Tag returns the sending process's current dependency set — the message
-// tag of §3. The result is a fresh slice. It returns ErrRolledBack when
-// the process has a pending rollback: a send from a doomed continuation
-// would otherwise escape orphaning by carrying post-rollback tags.
+// tag of §3. The result is a fresh slice in ascending AID order. It
+// returns ErrRolledBack when the process has a pending rollback: a send
+// from a doomed continuation would otherwise escape orphaning by carrying
+// post-rollback tags.
 func (t *Tracker) Tag(p ids.Proc) ([]ids.AID, error) {
 	s := t.procShard(p)
 	s.mu.RLock()
@@ -829,7 +832,6 @@ func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool,
 		proc:         ps.id,
 		logIndex:     logIndex,
 		implicit:     implicit,
-		ido:          sets.New[ids.AID](),
 		ihd:          sets.New[ids.AID](),
 		specAffirmed: sets.New[ids.AID](),
 		status:       speculative,
@@ -840,8 +842,9 @@ func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool,
 	t.procShard(ps.id).intervals[iv.id] = iv
 	// Equation 3: inherit the enclosing interval's dependencies.
 	if cur := ps.current(); cur != nil {
-		cur.ido.Range(func(x ids.AID) bool {
-			t.dependLocked(iv, x)
+		iv.ido = cur.ido.Clone()
+		iv.ido.Range(func(x ids.AID) bool {
+			t.aid(x).dom.Add(iv)
 			return true
 		})
 	}
@@ -893,7 +896,7 @@ func (t *Tracker) DebugDump() string {
 		}
 		add(fmt.Sprintf("  %v: %v dom=%v", a.id, a.status, fmtIvSet(a.dom)))
 		if a.status == SpecAffirmed {
-			add(fmt.Sprintf(" affirmer=%v repl=%v", a.affirmer, a.replacement))
+			add(fmt.Sprintf(" affirmer=%v repl=%v", a.affirmer, &a.replacement))
 		}
 		if a.systemDenied {
 			add(" (system)")
@@ -914,7 +917,7 @@ func (t *Tracker) DebugDump() string {
 		}
 		add(fmt.Sprintf("  %v live:", id))
 		for _, iv := range ps.live {
-			add(fmt.Sprintf(" %v@log%d(ido=%v ihd=%v)", iv.id, iv.logIndex, iv.ido, iv.ihd))
+			add(fmt.Sprintf(" %v@log%d(ido=%v ihd=%v)", iv.id, iv.logIndex, &iv.ido, iv.ihd))
 		}
 		add("\n")
 	}
@@ -974,7 +977,7 @@ func (t *Tracker) CheckInvariants() error {
 		for _, ps := range s.procs {
 			for i := 1; i < len(ps.live); i++ {
 				prev, cur := ps.live[i-1], ps.live[i]
-				if !prev.ido.SubsetOf(cur.ido) {
+				if !prev.ido.SubsetOf(&cur.ido) {
 					return fmt.Errorf("theorem 5.1: %v.IDO ⊄ %v.IDO in %v", prev.id, cur.id, ps.id)
 				}
 			}

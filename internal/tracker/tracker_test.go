@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,6 +162,23 @@ func TestNestedGuessInheritsAndEarliestTargetWins(t *testing.T) {
 	// Y is untouched — still unresolved.
 	if got := tr.Status(y); got != Unresolved {
 		t.Fatalf("Y = %v, want unresolved", got)
+	}
+}
+
+// TestTagAscending pins Tag's order: an IDO set iterates by AID, not in
+// the order the process came to depend on its members.
+func TestTagAscending(t *testing.T) {
+	tr, ps, _ := setup(t, 1)
+	x, y, z := tr.NewAID(), tr.NewAID(), tr.NewAID()
+	for i, a := range []ids.AID{z, x, y} {
+		mustGuess(t, tr, ps[0], a, i)
+	}
+	tags, err := tr.Tag(ps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []ids.AID{x, y, z}; !slices.Equal(tags, want) {
+		t.Fatalf("Tag = %v, want ascending %v", tags, want)
 	}
 }
 

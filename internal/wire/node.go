@@ -409,7 +409,16 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// A connection accepted just before the listener closed must not
+		// outlive Close: either Close's snapshot of conns sees it, or
+		// (Close having marked the node stopped before snapshotting) it is
+		// closed here. Otherwise its reader would block Close forever.
 		n.mu.Lock()
+		if n.closing() {
+			n.mu.Unlock()
+			conn.Close()
+			return
+		}
 		n.conns = append(n.conns, conn)
 		n.mu.Unlock()
 		n.wg.Add(1)
